@@ -275,6 +275,21 @@ pub struct Reservation<'a> {
     bytes: u64,
 }
 
+impl Reservation<'_> {
+    /// Grow or shrink the reservation to `bytes` — for a working set
+    /// that grows while it is built. A denied growth leaves the old
+    /// amount reserved.
+    pub fn resize(&mut self, bytes: u64) -> Result<()> {
+        if bytes > self.bytes {
+            self.governor.reserve(bytes - self.bytes)?;
+        } else {
+            self.governor.release(self.bytes - bytes);
+        }
+        self.bytes = bytes;
+        Ok(())
+    }
+}
+
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         self.governor.release(self.bytes);
@@ -366,6 +381,24 @@ mod tests {
         }
         assert_eq!(g.budget().reserved(), 0);
         g.reserve_scoped(100).unwrap();
+    }
+
+    #[test]
+    fn scoped_reservation_resizes() {
+        let g = Governor::new(Arc::new(CancelToken::new()), None, Some(100));
+        {
+            let mut r = g.reserve_scoped(0).unwrap();
+            r.resize(60).unwrap();
+            assert!(r.resize(120).is_err());
+            assert_eq!(
+                g.budget().reserved(),
+                60,
+                "denied growth keeps the old size"
+            );
+            r.resize(30).unwrap();
+            assert_eq!(g.budget().reserved(), 30);
+        }
+        assert_eq!(g.budget().reserved(), 0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Hash aggregation with parallel partial states.
+//! Hash aggregation and DISTINCT over the typed key table.
 //!
-//! Each rayon task folds its chunks into a thread-local hash table of
-//! per-group accumulators; tables are merged once at the end — the same
-//! "local work, single merge" pattern the paper's analytics operators
-//! use.
-
-use std::collections::HashMap;
+//! A grouped aggregate keeps one [`KeyTable`] for its whole input: each
+//! chunk's keys are encoded and mapped to dense group ids, then every
+//! aggregate folds its argument column into per-group states by id.
+//! The ungrouped aggregate folds each chunk with the vectorized
+//! [`AggregateState::update_column`] and merges the partial states.
 
 use hylite_common::governor::Governor;
 #[cfg(test)]
@@ -16,36 +15,17 @@ use hylite_expr::ScalarExpr;
 use hylite_planner::logical::AggExpr;
 use rayon::prelude::*;
 
-use crate::util::{key_at, key_columns, HashableRow};
-
-type GroupTable = HashMap<HashableRow, Vec<AggregateState>>;
-
-/// Releases transient hash-table reservations when the aggregation
-/// finishes (or aborts), so a failed statement leaves the budget clean.
-struct BudgetGuard<'a> {
-    governor: &'a Governor,
-    bytes: u64,
-}
-
-impl Drop for BudgetGuard<'_> {
-    fn drop(&mut self) {
-        self.governor.release(self.bytes);
-    }
-}
-
-/// Rough per-group hash-table footprint: entry overhead plus the key
-/// values and one accumulator per aggregate.
-fn group_entry_bytes(num_keys: usize, num_aggs: usize) -> u64 {
-    48 + 32 * num_keys as u64 + 48 * num_aggs as u64
-}
+use crate::keys::{KeyBatch, KeyTable};
+use crate::util::{cmp_at, key_columns};
 
 /// Execute a grouped aggregation. Output columns: group keys in order,
-/// then one column per aggregate. With no group keys the result is a
-/// single row (aggregates over the whole input, even when empty).
+/// then one column per aggregate, one row per group sorted by key. With
+/// no group keys the result is a single row (aggregates over the whole
+/// input, even when empty).
 ///
-/// Every parallel partial fold starts with a governor check, and each
-/// thread-local hash table is charged against the statement's memory
-/// budget (released once the output chunk is built).
+/// Every chunk starts with a governor check, and the key table and the
+/// group states are charged against the statement's memory budget as
+/// they grow (released when the aggregation returns).
 pub fn aggregate(
     chunks: &[Chunk],
     group_exprs: &[ScalarExpr],
@@ -53,146 +33,120 @@ pub fn aggregate(
     output_types: &[DataType],
     governor: &Governor,
 ) -> Result<Vec<Chunk>> {
-    let locals: Vec<Result<(GroupTable, u64)>> = chunks
-        .par_iter()
-        .map(|chunk| fold_chunk(chunk, group_exprs, aggregates, governor))
-        .collect();
-    // Collect every successful fold's reservation before propagating any
-    // error, so an aborted statement still releases all partials.
-    let mut guard = BudgetGuard { governor, bytes: 0 };
-    let mut tables = Vec::with_capacity(locals.len());
-    let mut first_err = None;
-    for local in locals {
-        match local {
-            Ok((table, reserved)) => {
-                guard.bytes += reserved;
-                tables.push(table);
-            }
-            Err(e) => first_err = first_err.or(Some(e)),
+    if group_exprs.is_empty() {
+        return aggregate_all(chunks, aggregates, output_types, governor);
+    }
+    let key_types: Vec<DataType> = group_exprs.iter().map(ScalarExpr::data_type).collect();
+    let mut table = KeyTable::new(&key_types);
+    let mut states: Vec<Vec<AggregateState>> = vec![Vec::new(); aggregates.len()];
+    let state_bytes = (std::mem::size_of::<AggregateState>() * aggregates.len()) as u64;
+    let mut charge = governor.reserve_scoped(0)?;
+    let mut groups = Vec::new();
+    for chunk in chunks {
+        governor.check()?;
+        let key_cols = key_columns(group_exprs, chunk)?;
+        let refs: Vec<&ColumnVector> = key_cols.iter().collect();
+        let batch = KeyBatch::encode(0..chunk.len(), &refs, &key_types, false)?;
+        table.insert_batch(&batch, &mut groups)?;
+        for (agg, states) in aggregates.iter().zip(&mut states) {
+            states.resize(table.len(), agg.func.init());
+            let arg = agg.arg.as_ref().map(|e| e.eval(chunk)).transpose()?;
+            AggregateState::update_grouped(states, &groups, arg.as_ref())?;
         }
+        charge.resize(table.heap_bytes() + table.len() as u64 * state_bytes)?;
     }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let mut merged: GroupTable = HashMap::new();
-    for local in tables {
-        for (key, states) in local {
-            match merged.get_mut(&key) {
-                Some(existing) => {
-                    for (a, b) in existing.iter_mut().zip(&states) {
-                        a.merge(b)?;
-                    }
-                }
-                None => {
-                    merged.insert(key, states);
-                }
-            }
-        }
-    }
-    // Global aggregate over empty input still yields one row.
-    if merged.is_empty() && group_exprs.is_empty() {
-        merged.insert(
-            HashableRow(vec![]),
-            aggregates.iter().map(|a| a.func.init()).collect(),
-        );
-    }
-    // Deterministic output order: sort groups by key.
-    let mut groups: Vec<(HashableRow, Vec<AggregateState>)> = merged.into_iter().collect();
-    groups.sort_by(|(a, _), (b, _)| {
-        a.0.iter()
-            .zip(&b.0)
-            .map(|(x, y)| x.sort_cmp(y))
+    // Deterministic output order: groups sorted by key.
+    let keys: Vec<ColumnVector> = (0..group_exprs.len())
+        .map(|c| table.column(c))
+        .collect::<Result<_>>()?;
+    let mut order: Vec<usize> = (0..table.len()).collect();
+    // Keys are distinct, so an unstable sort is deterministic.
+    order.sort_unstable_by(|&a, &b| {
+        keys.iter()
+            .map(|col| cmp_at(col, a, b))
             .find(|o| !o.is_eq())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-
-    let mut cols: Vec<ColumnVector> = output_types
-        .iter()
-        .map(|&t| ColumnVector::empty(t))
-        .collect();
-    for (key, states) in groups {
-        for (c, v) in key.0.iter().enumerate() {
-            cols[c].push_value(v)?;
-        }
-        for (a, state) in states.iter().enumerate() {
-            let v = state.finalize();
-            let target = output_types[group_exprs.len() + a];
-            let v = if v.is_null() { v } else { v.cast_to(target)? };
-            cols[group_exprs.len() + a].push_value(&v)?;
-        }
+    let mut cols = Vec::with_capacity(output_types.len());
+    for (col, &t) in keys.iter().zip(output_types) {
+        let col = col.take(&order);
+        cols.push(if col.data_type() == t {
+            col
+        } else {
+            col.cast_to(t)?
+        });
+    }
+    for (a, states) in states.iter().enumerate() {
+        let values: Vec<_> = order.iter().map(|&g| &states[g]).collect();
+        cols.push(finalize(&values, output_types[group_exprs.len() + a])?);
     }
     Ok(vec![Chunk::new(cols)])
 }
 
-fn fold_chunk(
-    chunk: &Chunk,
-    group_exprs: &[ScalarExpr],
+/// The ungrouped aggregate: one vectorized partial state per chunk,
+/// merged once.
+fn aggregate_all(
+    chunks: &[Chunk],
     aggregates: &[AggExpr],
+    output_types: &[DataType],
     governor: &Governor,
-) -> Result<(GroupTable, u64)> {
-    governor.check()?;
-    let mut table = GroupTable::new();
-    let key_cols = key_columns(group_exprs, chunk)?;
-    let arg_cols: Vec<Option<ColumnVector>> = aggregates
+) -> Result<Vec<Chunk>> {
+    let init = || -> Vec<AggregateState> { aggregates.iter().map(|a| a.func.init()).collect() };
+    let partials: Vec<Result<Vec<AggregateState>>> = chunks
+        .par_iter()
+        .map(|chunk| {
+            governor.check()?;
+            let mut states = init();
+            for (agg, state) in aggregates.iter().zip(&mut states) {
+                match &agg.arg {
+                    Some(e) => state.update_column(&e.eval(chunk)?)?,
+                    None => state.update_count_star(chunk.len() as i64),
+                }
+            }
+            Ok(states)
+        })
+        .collect();
+    let mut merged = init();
+    for partial in partials {
+        for (a, b) in merged.iter_mut().zip(&partial?) {
+            a.merge(b)?;
+        }
+    }
+    let cols = merged
         .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval(chunk)).transpose())
+        .zip(output_types)
+        .map(|(state, &t)| finalize(&[state], t))
         .collect::<Result<_>>()?;
-    if group_exprs.is_empty() {
-        // Single group: use the vectorized column fold.
-        let states = table
-            .entry(HashableRow(vec![]))
-            .or_insert_with(|| aggregates.iter().map(|a| a.func.init()).collect());
-        for (a, state) in states.iter_mut().enumerate() {
-            match &arg_cols[a] {
-                Some(col) => state.update_column(col)?,
-                None => state.update_count_star(chunk.len() as i64),
-            }
-        }
-        let reserved = group_entry_bytes(0, aggregates.len());
-        governor.reserve(reserved)?;
-        return Ok((table, reserved));
+    Ok(vec![Chunk::new(cols)])
+}
+
+/// Finalize one aggregate's states into a column of type `target`.
+fn finalize(states: &[&AggregateState], target: DataType) -> Result<ColumnVector> {
+    let mut col = ColumnVector::empty(target);
+    for state in states {
+        let v = state.finalize();
+        let v = if v.is_null() { v } else { v.cast_to(target)? };
+        col.push_value(&v)?;
     }
-    for i in 0..chunk.len() {
-        let key = key_at(&key_cols, i);
-        let states = table
-            .entry(key)
-            .or_insert_with(|| aggregates.iter().map(|a| a.func.init()).collect());
-        for (a, state) in states.iter_mut().enumerate() {
-            match &arg_cols[a] {
-                Some(col) => state.update(&col.value(i))?,
-                None => state.update_count_star(1),
-            }
-        }
-    }
-    let reserved = table.len() as u64 * group_entry_bytes(group_exprs.len(), aggregates.len());
-    governor.reserve(reserved)?;
-    Ok((table, reserved))
+    Ok(col)
 }
 
 /// DISTINCT: keep the first occurrence of every row. Checks the governor
-/// once per input chunk and charges the dedup hash set against the
+/// once per input chunk and charges the key table against the
 /// statement's memory budget.
 pub fn distinct(chunks: &[Chunk], types: &[DataType], governor: &Governor) -> Result<Vec<Chunk>> {
-    let mut seen = std::collections::HashSet::new();
-    let mut guard = BudgetGuard { governor, bytes: 0 };
-    let mut cols: Vec<ColumnVector> = types.iter().map(|&t| ColumnVector::empty(t)).collect();
+    let mut table = KeyTable::new(types);
+    let mut charge = governor.reserve_scoped(0)?;
+    let mut out = Vec::new();
     for chunk in chunks {
         governor.check()?;
-        let before = seen.len();
-        for i in 0..chunk.len() {
-            let row = HashableRow(chunk.row(i).into_values());
-            if seen.insert(row.clone()) {
-                for (c, v) in row.0.iter().enumerate() {
-                    cols[c].push_value(v)?;
-                }
-            }
+        let fresh = table.retain_new(chunk)?;
+        charge.resize(table.heap_bytes())?;
+        if !fresh.is_empty() {
+            out.push(fresh);
         }
-        let added = (seen.len() - before) as u64;
-        let reserved = added * group_entry_bytes(types.len(), 0);
-        governor.reserve(reserved)?;
-        guard.bytes += reserved;
     }
-    Ok(vec![Chunk::new(cols)])
+    Ok(out)
 }
 
 #[cfg(test)]

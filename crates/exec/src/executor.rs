@@ -162,6 +162,7 @@ impl Executor {
             } => {
                 let l = self.execute(left)?;
                 let r = self.execute(right)?;
+                let governor = Arc::clone(self.ctx.governor());
                 join::join(
                     &l,
                     &r,
@@ -169,6 +170,7 @@ impl Executor {
                     condition.as_ref(),
                     &left.schema().types(),
                     &right.schema().types(),
+                    &governor,
                 )
             }
             LogicalPlan::Aggregate {

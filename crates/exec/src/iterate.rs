@@ -1,14 +1,15 @@
 //! Iteration constructs: the SQL:1999 recursive CTE (appending) and the
 //! paper's ITERATE operator (non-appending, §5.1).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+use hylite_common::governor::Reservation;
 use hylite_common::{Chunk, HyError, Result};
 use hylite_planner::LogicalPlan;
 
 use crate::executor::Executor;
-use crate::util::{total_rows, HashableRow};
+use crate::keys::KeyTable;
+use crate::util::total_rows;
 
 /// Infinite-loop guard for recursive CTEs — the paper notes both
 /// constructs "can produce infinite loops \[which\] need to be detected and
@@ -29,11 +30,14 @@ impl Executor {
         step: &LogicalPlan,
         all: bool,
     ) -> Result<Vec<Chunk>> {
-        let types = init.schema().types();
         let mut working = self.execute(init)?;
-        let mut seen: HashSet<HashableRow> = HashSet::new();
+        // UNION dedup: every row seen so far, charged against the budget
+        // until the recursion ends.
+        let governor = Arc::clone(self.ctx.governor());
+        let mut seen = KeyTable::new(&init.schema().types());
+        let mut charge = governor.reserve_scoped(0)?;
         if !all {
-            working = dedup_against(&types, working, &mut seen)?;
+            working = dedup_against(working, &mut seen, &mut charge)?;
         }
         let mut result: Vec<Chunk> = working.clone();
         let mut depth = 0usize;
@@ -54,7 +58,7 @@ impl Executor {
             self.ctx.pop_working(name);
             let mut new = step_result?;
             if !all {
-                new = dedup_against(&types, new, &mut seen)?;
+                new = dedup_against(new, &mut seen, &mut charge)?;
             }
             if total_rows(&new) == 0 {
                 break;
@@ -145,28 +149,17 @@ impl Executor {
 
 /// Keep only rows not yet in `seen`, inserting the survivors.
 fn dedup_against(
-    types: &[hylite_common::DataType],
     chunks: Vec<Chunk>,
-    seen: &mut HashSet<HashableRow>,
+    seen: &mut KeyTable,
+    charge: &mut Reservation<'_>,
 ) -> Result<Vec<Chunk>> {
-    let mut cols: Vec<hylite_common::ColumnVector> = types
-        .iter()
-        .map(|&t| hylite_common::ColumnVector::empty(t))
-        .collect();
-    let mut kept = 0usize;
+    let mut out = Vec::with_capacity(chunks.len());
     for chunk in &chunks {
-        for i in 0..chunk.len() {
-            let row = HashableRow(chunk.row(i).into_values());
-            if seen.insert(row.clone()) {
-                for (c, v) in row.0.iter().enumerate() {
-                    cols[c].push_value(v)?;
-                }
-                kept += 1;
-            }
+        let fresh = seen.retain_new(chunk)?;
+        if !fresh.is_empty() {
+            out.push(fresh);
         }
     }
-    if kept == total_rows(&chunks) {
-        return Ok(chunks);
-    }
-    Ok(vec![Chunk::new(cols)])
+    charge.resize(seen.heap_bytes())?;
+    Ok(out)
 }

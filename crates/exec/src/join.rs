@@ -1,15 +1,112 @@
 //! Join execution: hash join for equi-conditions, nested-loop fallback.
 
-use std::collections::HashMap;
-
-use hylite_common::{Chunk, ColumnVector, DataType, Result};
+use hylite_common::governor::{Governor, Reservation};
+use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result};
 use hylite_expr::{BinaryOp, ScalarExpr};
 use hylite_planner::JoinKind;
 use rayon::prelude::*;
 
-use crate::util::HashableRow;
+use crate::keys::{KeyBatch, KeyTable};
+use crate::util::key_columns;
 #[cfg(test)]
 use hylite_common::Value;
+
+/// End of a build-row chain.
+const NONE: u32 = u32::MAX;
+
+/// The build side of a hash join: the key table plus, per group, a chain
+/// of build rows in ascending order (`head[group]`, then `next[row]`).
+struct BuildSide {
+    types: Vec<DataType>,
+    table: KeyTable,
+    head: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl BuildSide {
+    /// Index `rows` on its key expressions. NULL and NaN keys are left
+    /// out: under SQL `=` they match nothing. The keys are inserted
+    /// `BUILD_SLICE` rows at a time, with a governor check and `charge`
+    /// resized to the table's heap bytes after each slice, so a build
+    /// side over the memory budget stops within a slice (and one table
+    /// doubling) of it.
+    fn build(
+        rows: &Chunk,
+        keys: &[ScalarExpr],
+        types: Vec<DataType>,
+        governor: &Governor,
+        charge: &mut Reservation<'_>,
+    ) -> Result<BuildSide> {
+        const BUILD_SLICE: usize = 16 * 1024;
+        if u32::try_from(rows.len()).is_err() {
+            return Err(HyError::Execution(
+                "hash join build side has more than 2^32 - 1 rows".into(),
+            ));
+        }
+        let mut table = KeyTable::new(&types);
+        // Build row `i`'s group id, then (below) its chain successor.
+        let mut next: Vec<u32> = Vec::new();
+        let heap_bytes = |table: &KeyTable, next: &Vec<u32>, heads: usize| {
+            table.heap_bytes() + 4 * (next.capacity() + heads) as u64
+        };
+        if !rows.is_empty() {
+            let key_cols = key_columns(keys, rows)?;
+            let refs: Vec<&ColumnVector> = key_cols.iter().collect();
+            for start in (0..rows.len()).step_by(BUILD_SLICE) {
+                governor.check()?;
+                let end = rows.len().min(start + BUILD_SLICE);
+                let batch = KeyBatch::encode(start..end, &refs, &types, true)?;
+                for i in 0..batch.len() {
+                    next.push(if batch.has_null(i) {
+                        NONE
+                    } else {
+                        table.insert(&batch, i)?
+                    });
+                }
+                charge.resize(heap_bytes(&table, &next, 0))?;
+            }
+        }
+        charge.resize(heap_bytes(&table, &next, table.len()))?;
+        // Prepend in reverse so every chain runs in build-row order.
+        let mut head = vec![NONE; table.len()];
+        for (i, slot) in next.iter_mut().enumerate().rev() {
+            let g = *slot;
+            if g != NONE {
+                *slot = head[g as usize];
+                head[g as usize] = i as u32;
+            }
+        }
+        Ok(BuildSide {
+            types,
+            table,
+            head,
+            next,
+        })
+    }
+
+    /// Candidate (probe row, build row) pairs for one probe chunk.
+    fn probe(&self, chunk: &Chunk, probe_keys: &[ScalarExpr]) -> Result<(Vec<usize>, Vec<usize>)> {
+        let key_cols = key_columns(probe_keys, chunk)?;
+        let refs: Vec<&ColumnVector> = key_cols.iter().collect();
+        let batch = KeyBatch::encode(0..chunk.len(), &refs, &self.types, true)?;
+        let mut l_idx = Vec::new();
+        let mut r_idx = Vec::new();
+        for i in 0..batch.len() {
+            if batch.has_null(i) {
+                continue;
+            }
+            if let Some(g) = self.table.get(&batch, i) {
+                let mut r = self.head[g as usize];
+                while r != NONE {
+                    l_idx.push(i);
+                    r_idx.push(r as usize);
+                    r = self.next[r as usize];
+                }
+            }
+        }
+        Ok((l_idx, r_idx))
+    }
+}
 
 /// Join two materialized inputs.
 ///
@@ -17,6 +114,10 @@ use hylite_common::Value;
 /// conjuncts (`left_col_expr = right_col_expr`) become hash-join keys;
 /// the rest is applied as a residual predicate. Without any equi
 /// conjunct the join degrades to a filtered cross product.
+///
+/// The governor is checked once per build slice and once per probe
+/// chunk, and the build side's key table is charged against the
+/// statement's memory budget as it grows, until the join returns.
 pub fn join(
     left: &[Chunk],
     right: &[Chunk],
@@ -24,7 +125,9 @@ pub fn join(
     condition: Option<&ScalarExpr>,
     left_types: &[DataType],
     right_types: &[DataType],
+    governor: &Governor,
 ) -> Result<Vec<Chunk>> {
+    governor.check()?;
     let left_width = left_types.len();
     // Materialize the right side once (the build side).
     let right_all = Chunk::concat(right_types, right)?;
@@ -35,37 +138,34 @@ pub fn join(
     };
 
     if keys.is_empty() {
-        return nested_loop(left, &right_all, kind, residual.as_ref(), right_types);
+        return nested_loop(
+            left,
+            &right_all,
+            kind,
+            residual.as_ref(),
+            right_types,
+            governor,
+        );
     }
 
-    // Build: hash the right side on its key expressions.
-    let right_keys: Vec<ScalarExpr> = keys.iter().map(|(_, r)| r.clone()).collect();
-    let mut table: HashMap<HashableRow, Vec<usize>> = HashMap::new();
-    if !right_all.is_empty() {
-        let key_cols = crate::util::key_columns(&right_keys, &right_all)?;
-        'row: for i in 0..right_all.len() {
-            // SQL: NULL keys never join.
-            for c in &key_cols {
-                if !c.is_valid(i) {
-                    continue 'row;
-                }
-            }
-            table
-                .entry(crate::util::key_at(&key_cols, i))
-                .or_default()
-                .push(i);
-        }
-    }
-
-    let left_keys: Vec<ScalarExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
+    // Both sides' keys are encoded as their common type, so BIGINT 1
+    // meets DOUBLE 1.0 as it does under scalar `=`.
+    let types = keys
+        .iter()
+        .map(|(l, r)| l.data_type().common_type(r.data_type()))
+        .collect::<Result<Vec<_>>>()?;
+    let (left_keys, right_keys): (Vec<ScalarExpr>, Vec<ScalarExpr>) = keys.into_iter().unzip();
+    let mut charge = governor.reserve_scoped(0)?;
+    let build = BuildSide::build(&right_all, &right_keys, types, governor, &mut charge)?;
     // Probe in parallel over left chunks.
     let results: Vec<Result<Vec<Chunk>>> = left
         .par_iter()
         .map(|chunk| {
+            governor.check()?;
             probe_chunk(
                 chunk,
                 &left_keys,
-                &table,
+                &build,
                 &right_all,
                 kind,
                 residual.as_ref(),
@@ -80,33 +180,18 @@ pub fn join(
     Ok(out)
 }
 
-/// Probe one left chunk against the build table.
+/// Probe one left chunk against the build side.
 fn probe_chunk(
     chunk: &Chunk,
     left_keys: &[ScalarExpr],
-    table: &HashMap<HashableRow, Vec<usize>>,
+    build: &BuildSide,
     right_all: &Chunk,
     kind: JoinKind,
     residual: Option<&ScalarExpr>,
     right_types: &[DataType],
 ) -> Result<Vec<Chunk>> {
     let n = chunk.len();
-    let key_cols = crate::util::key_columns(left_keys, chunk)?;
-    let mut l_idx: Vec<usize> = Vec::new();
-    let mut r_idx: Vec<usize> = Vec::new();
-    'row: for i in 0..n {
-        for c in &key_cols {
-            if !c.is_valid(i) {
-                continue 'row;
-            }
-        }
-        if let Some(matches) = table.get(&crate::util::key_at(&key_cols, i)) {
-            for &m in matches {
-                l_idx.push(i);
-                r_idx.push(m);
-            }
-        }
-    }
+    let (l_idx, r_idx) = build.probe(chunk, left_keys)?;
     // Candidate pairs → combined chunk.
     let mut combined = combine(chunk, &l_idx, right_all, &r_idx);
     let mut matched_left = vec![false; n];
@@ -143,11 +228,13 @@ fn nested_loop(
     kind: JoinKind,
     residual: Option<&ScalarExpr>,
     right_types: &[DataType],
+    governor: &Governor,
 ) -> Result<Vec<Chunk>> {
     let m = right_all.len();
     let results: Vec<Result<Vec<Chunk>>> = left
         .par_iter()
         .map(|chunk| {
+            governor.check()?;
             let n = chunk.len();
             let mut out = Vec::new();
             let mut matched_left = vec![false; n];
@@ -349,6 +436,7 @@ mod tests {
             Some(&eq_cond(0, 2)),
             &[DataType::Int64, DataType::Varchar],
             &[DataType::Int64, DataType::Varchar],
+            &Governor::unlimited(),
         )
         .unwrap();
         let total = Chunk::concat(
@@ -378,6 +466,7 @@ mod tests {
             Some(&eq_cond(0, 1)),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         assert_eq!(crate::util::total_rows(&out), 6);
@@ -396,6 +485,7 @@ mod tests {
             Some(&eq_cond(0, 1)),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         assert_eq!(crate::util::total_rows(&out), 1, "only 1=1 matches");
@@ -412,6 +502,7 @@ mod tests {
             Some(&eq_cond(0, 1)),
             &[DataType::Int64],
             &[DataType::Int64, DataType::Varchar],
+            &Governor::unlimited(),
         )
         .unwrap();
         let total =
@@ -452,6 +543,7 @@ mod tests {
             Some(&cond),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         assert_eq!(crate::util::total_rows(&out), 1);
@@ -481,6 +573,7 @@ mod tests {
             Some(&cond),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         let total = Chunk::concat(&[DataType::Int64, DataType::Int64], &out).unwrap();
@@ -504,6 +597,7 @@ mod tests {
             None,
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         assert_eq!(crate::util::total_rows(&out), 6);
@@ -527,6 +621,7 @@ mod tests {
             Some(&cond),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         // (1,3), (1,6), (5,6)
@@ -544,6 +639,7 @@ mod tests {
             Some(&eq_cond(0, 1)),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         assert_eq!(crate::util::total_rows(&out), 0);
@@ -557,6 +653,7 @@ mod tests {
             Some(&eq_cond(0, 1)),
             &[DataType::Int64],
             &[DataType::Int64],
+            &Governor::unlimited(),
         )
         .unwrap();
         assert_eq!(crate::util::total_rows(&out), 1, "left row NULL-padded");

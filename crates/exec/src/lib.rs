@@ -17,6 +17,7 @@ pub mod context;
 pub mod executor;
 pub mod iterate;
 pub mod join;
+pub mod keys;
 pub mod operators;
 pub mod scan;
 pub mod sort;

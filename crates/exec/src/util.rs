@@ -1,57 +1,35 @@
-//! Execution utilities: hashable row keys, predicate application.
+//! Execution utilities: key evaluation, row comparison, predicate
+//! application.
 
-use std::hash::{Hash, Hasher};
+use std::cmp::Ordering;
 
-use hylite_common::{Chunk, Result, Value};
+use hylite_common::{Chunk, ColumnVector, Result};
 use hylite_expr::ScalarExpr;
 
-/// A row of values usable as a hash-table key (GROUP BY keys, join keys,
-/// DISTINCT). SQL grouping semantics: NULLs compare equal to each other;
-/// floats hash by bit pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HashableRow(pub Vec<Value>);
-
-impl Eq for HashableRow {}
-
-impl Hash for HashableRow {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            match v {
-                Value::Null => 0u8.hash(state),
-                Value::Int(x) => {
-                    1u8.hash(state);
-                    x.hash(state);
-                }
-                Value::Float(x) => {
-                    2u8.hash(state);
-                    // Normalize -0.0 to 0.0 so equal floats hash equally.
-                    let x = if *x == 0.0 { 0.0 } else { *x };
-                    x.to_bits().hash(state);
-                }
-                Value::Bool(x) => {
-                    3u8.hash(state);
-                    x.hash(state);
-                }
-                Value::Str(x) => {
-                    4u8.hash(state);
-                    x.hash(state);
-                }
-            }
-        }
-    }
-}
-
-/// Evaluate `exprs` over a chunk and materialize row `i`'s key.
-pub fn key_columns(
-    exprs: &[ScalarExpr],
-    chunk: &Chunk,
-) -> Result<Vec<hylite_common::ColumnVector>> {
+/// Evaluate `exprs` over a chunk: one key column per expression.
+pub fn key_columns(exprs: &[ScalarExpr], chunk: &Chunk) -> Result<Vec<ColumnVector>> {
     exprs.iter().map(|e| e.eval(chunk)).collect()
 }
 
-/// Materialize the key of row `i` from pre-evaluated key columns.
-pub fn key_at(cols: &[hylite_common::ColumnVector], i: usize) -> HashableRow {
-    HashableRow(cols.iter().map(|c| c.value(i)).collect())
+/// Compare rows `a` and `b` of `col` in [`Value::sort_cmp`] order: NULLs
+/// first, NaN after every other DOUBLE.
+///
+/// [`Value::sort_cmp`]: hylite_common::Value::sort_cmp
+pub fn cmp_at(col: &ColumnVector, a: usize, b: usize) -> Ordering {
+    match (col.is_valid(a), col.is_valid(b)) {
+        (true, true) => {}
+        (va, vb) => return va.cmp(&vb),
+    }
+    match col {
+        ColumnVector::Int64 { data, .. } => data[a].cmp(&data[b]),
+        ColumnVector::Float64 { data, .. } => {
+            let (x, y) = (data[a], data[b]);
+            x.partial_cmp(&y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        }
+        ColumnVector::Bool { data, .. } => data[a].cmp(&data[b]),
+        ColumnVector::Varchar { data, .. } => data[a].cmp(&data[b]),
+    }
 }
 
 /// Apply a boolean predicate to a chunk, returning the surviving rows.
@@ -77,36 +55,7 @@ pub fn heap_bytes(chunks: &[Chunk]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hylite_common::{ColumnVector, DataType};
-    use std::collections::HashSet;
-
-    #[test]
-    fn nulls_group_together() {
-        let a = HashableRow(vec![Value::Null, Value::Int(1)]);
-        let b = HashableRow(vec![Value::Null, Value::Int(1)]);
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn negative_zero_equals_zero() {
-        let a = HashableRow(vec![Value::Float(0.0)]);
-        let b = HashableRow(vec![Value::Float(-0.0)]);
-        assert_eq!(a, b);
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn distinct_values_differ() {
-        let mut set = HashSet::new();
-        set.insert(HashableRow(vec![Value::Int(1)]));
-        set.insert(HashableRow(vec![Value::Int(2)]));
-        set.insert(HashableRow(vec![Value::from("1")]));
-        assert_eq!(set.len(), 3);
-    }
+    use hylite_common::{DataType, Value};
 
     #[test]
     fn predicate_filters() {
@@ -119,5 +68,40 @@ mod tests {
         .unwrap();
         let out = apply_predicate(&chunk, &pred).unwrap();
         assert_eq!(out.column(0).as_i64().unwrap(), &[5, 3]);
+    }
+
+    #[test]
+    fn cmp_at_matches_sort_cmp() {
+        let cols = [
+            ColumnVector::from_values(
+                DataType::Float64,
+                &[
+                    Value::Null,
+                    Value::Float(f64::NAN),
+                    Value::Float(-0.0),
+                    Value::Float(0.0),
+                    Value::Float(-1.0),
+                ],
+            )
+            .unwrap(),
+            ColumnVector::from_values(
+                DataType::Varchar,
+                &[
+                    Value::from("b"),
+                    Value::Null,
+                    Value::from("a"),
+                    Value::from(""),
+                    Value::from("ab"),
+                ],
+            )
+            .unwrap(),
+        ];
+        for col in &cols {
+            for a in 0..col.len() {
+                for b in 0..col.len() {
+                    assert_eq!(cmp_at(col, a, b), col.value(a).sort_cmp(&col.value(b)));
+                }
+            }
+        }
     }
 }

@@ -177,53 +177,86 @@ impl AggregateState {
     /// Fold one scalar into the state. For `CountStar` pass any value
     /// (including NULL); row counting is handled by `update_count_star`.
     pub fn update(&mut self, v: &Value) -> Result<()> {
+        match *v {
+            Value::Null => Ok(()),
+            Value::Int(x) => self.update_i64(x),
+            Value::Float(x) => self.update_f64(x),
+            _ => self.update_other(v),
+        }
+    }
+
+    /// [`update`](Self::update) with a non-NULL BIGINT.
+    #[inline]
+    fn update_i64(&mut self, x: i64) -> Result<()> {
         match self {
-            AggregateState::Count { n } => {
-                if !v.is_null() {
-                    *n += 1;
+            AggregateState::Count { n } => *n += 1,
+            AggregateState::Sum { int, float, n, .. } => {
+                *int = int.wrapping_add(x);
+                *float += x as f64;
+                *n += 1;
+            }
+            AggregateState::Extreme {
+                best: Value::Int(b),
+                is_min,
+            } => {
+                if (*is_min && x < *b) || (!*is_min && x > *b) {
+                    *b = x;
                 }
             }
+            AggregateState::Avg { .. } | AggregateState::Moments { .. } => {
+                return self.update_f64(x as f64)
+            }
+            AggregateState::Extreme { .. } => return self.update_other(&Value::Int(x)),
+        }
+        Ok(())
+    }
+
+    /// [`update`](Self::update) with a non-NULL DOUBLE.
+    #[inline]
+    fn update_f64(&mut self, x: f64) -> Result<()> {
+        match self {
+            AggregateState::Count { n } => *n += 1,
             AggregateState::Sum {
-                int,
                 float,
                 saw_float,
                 n,
-            } => match v {
-                Value::Null => {}
-                Value::Int(x) => {
-                    *int = int.wrapping_add(*x);
-                    *float += *x as f64;
-                    *n += 1;
-                }
-                Value::Float(x) => {
-                    *float += *x;
-                    *saw_float = true;
-                    *n += 1;
-                }
-                other => return Err(HyError::Type(format!("sum() over non-numeric {other}"))),
-            },
-            AggregateState::Avg { sum, n } => {
-                if !v.is_null() {
-                    *sum += v.as_float()?;
-                    *n += 1;
-                }
+                ..
+            } => {
+                *float += x;
+                *saw_float = true;
+                *n += 1;
             }
-            AggregateState::Extreme { best, is_min } => {
-                if !v.is_null() {
-                    let replace = best.is_null()
-                        || (*is_min && v.sort_cmp(best).is_lt())
-                        || (!*is_min && v.sort_cmp(best).is_gt());
-                    if replace {
-                        *best = v.clone();
-                    }
-                }
+            AggregateState::Avg { sum, n } => {
+                *sum += x;
+                *n += 1;
             }
             AggregateState::Moments { n, sum, sum_sq, .. } => {
-                if !v.is_null() {
-                    let x = v.as_float()?;
-                    *n += 1;
-                    *sum += x;
-                    *sum_sq += x * x;
+                *n += 1;
+                *sum += x;
+                *sum_sq += x * x;
+            }
+            AggregateState::Extreme { .. } => return self.update_other(&Value::Float(x)),
+        }
+        Ok(())
+    }
+
+    /// [`update`](Self::update) with a non-NULL value that is not a
+    /// number, or with any value for MIN/MAX.
+    fn update_other(&mut self, v: &Value) -> Result<()> {
+        match self {
+            AggregateState::Count { n } => *n += 1,
+            AggregateState::Sum { .. } => {
+                return Err(HyError::Type(format!("sum() over non-numeric {v}")))
+            }
+            AggregateState::Avg { .. } | AggregateState::Moments { .. } => {
+                return self.update_f64(v.as_float()?)
+            }
+            AggregateState::Extreme { best, is_min } => {
+                let replace = best.is_null()
+                    || (*is_min && v.sort_cmp(best).is_lt())
+                    || (!*is_min && v.sort_cmp(best).is_gt());
+                if replace {
+                    *best = v.clone();
                 }
             }
         }
@@ -326,6 +359,42 @@ impl AggregateState {
             (state, c) => {
                 for i in 0..c.len() {
                     state.update(&c.value(i))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Column-wise fold for a grouped aggregate: row `i` of `col` goes
+    /// into `states[groups[i]]`. `col` is `None` for COUNT(*). Numeric
+    /// columns skip the per-row [`Value`].
+    pub fn update_grouped(
+        states: &mut [AggregateState],
+        groups: &[u32],
+        col: Option<&ColumnVector>,
+    ) -> Result<()> {
+        let Some(col) = col else {
+            for &g in groups {
+                states[g as usize].update_count_star(1);
+            }
+            return Ok(());
+        };
+        let valid = |i: usize| col.validity().is_none_or(|v| v.get(i));
+        let groups = groups.iter().enumerate().map(|(i, &g)| (i, g as usize));
+        match col {
+            ColumnVector::Int64 { data, .. } => {
+                for (i, g) in groups.filter(|&(i, _)| valid(i)) {
+                    states[g].update_i64(data[i])?;
+                }
+            }
+            ColumnVector::Float64 { data, .. } => {
+                for (i, g) in groups.filter(|&(i, _)| valid(i)) {
+                    states[g].update_f64(data[i])?;
+                }
+            }
+            _ => {
+                for (i, g) in groups {
+                    states[g].update(&col.value(i))?;
                 }
             }
         }

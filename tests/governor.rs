@@ -144,6 +144,31 @@ fn budget_exceeded_inside_parallel_aggregation() {
 }
 
 #[test]
+fn budget_exceeded_by_hash_join_build_side() {
+    let db = Database::new();
+    db.execute("CREATE TABLE small (k BIGINT)").unwrap();
+    db.execute("INSERT INTO small VALUES (1), (40000), (70000)")
+        .unwrap();
+    // 32768 distinct keys (32768..65535): 256 KiB of column data fits a
+    // 1 MiB budget, the build side's hash table does not.
+    db.execute("CREATE TABLE big (k BIGINT)").unwrap();
+    db.execute(
+        "INSERT INTO big SELECT * FROM ITERATE((SELECT 1 \"x\"), \
+         (SELECT x * 2 FROM iterate UNION ALL SELECT x * 2 + 1 FROM iterate), \
+         (SELECT x FROM iterate WHERE x >= 32768))",
+    )
+    .unwrap();
+    let join = "SELECT count(*) FROM small s JOIN big b ON s.k = b.k";
+    db.execute("SET memory_budget_mb = 1").unwrap();
+    let err = db.execute(join).unwrap_err();
+    assert!(matches!(err, HyError::BudgetExceeded(_)), "{err}");
+    assert_session_usable(&db);
+    db.execute("SET memory_budget_mb = 0").unwrap();
+    let r = db.execute(join).unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Int(1));
+}
+
+#[test]
 fn budget_exceeded_aborts_pagerank() {
     let db = Database::new();
     setup_edges(&db, 50000);

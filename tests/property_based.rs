@@ -301,3 +301,304 @@ fn update_then_sum_consistent() {
         }
     });
 }
+
+// ---------------------------------------------------------------------
+// Hash keys: GROUP BY, DISTINCT, UNION, joins and recursive-CTE dedup
+// against a plain-Rust reference, compared as multisets.
+
+/// Columns of the generated key tables `ka` and `kb`.
+const KEY_SCHEMA: &str = "(i BIGINT, f DOUBLE, s1 VARCHAR, s2 VARCHAR, b BOOLEAN)";
+
+fn pick(rng: &mut StdRng, pool: &[Value]) -> Value {
+    pool[rng.gen_range(0..pool.len())].clone()
+}
+
+/// Rows over small pools, so keys repeat: NULL in every column; NaNs
+/// with different bits and both zeros; empty strings and pairs whose
+/// concatenations agree ("ab"+"c" vs "a"+"bc").
+fn key_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
+    let ints = [Value::Null, Value::Int(-1), Value::Int(0), Value::Int(2)];
+    let floats = [
+        Value::Null,
+        Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(1.5),
+        Value::Float(-2.25),
+    ];
+    let strs = ["", "a", "ab", "b", "bc", "c"]
+        .iter()
+        .map(|&s| Value::from(s))
+        .chain([Value::Null])
+        .collect::<Vec<_>>();
+    let bools = [Value::Null, Value::Bool(true), Value::Bool(false)];
+    (0..rng.gen_range(0usize..40))
+        .map(|_| {
+            vec![
+                pick(rng, &ints),
+                pick(rng, &floats),
+                pick(rng, &strs),
+                pick(rng, &strs),
+                pick(rng, &bools),
+            ]
+        })
+        .collect()
+}
+
+fn key_db(ka: &[Vec<Value>], kb: &[Vec<Value>]) -> Database {
+    let db = Database::new();
+    for (name, rows) in [("ka", ka), ("kb", kb)] {
+        db.execute(&format!("CREATE TABLE {name} {KEY_SCHEMA}"))
+            .unwrap();
+        let table = db.catalog().get_table(name).unwrap();
+        let mut table = table.write();
+        table.insert_rows(rows).unwrap();
+        table.commit();
+    }
+    db
+}
+
+/// A value as the reference sees keys: every NaN alike, `-0.0` as `0.0`.
+fn canon(v: &Value) -> String {
+    match v {
+        Value::Float(x) if x.is_nan() => "NaN".into(),
+        Value::Float(x) if *x == 0.0 => "F0".into(),
+        Value::Float(x) => format!("F{x:.9e}"),
+        other => format!("{other:?}"),
+    }
+}
+
+fn canon_row(values: &[Value]) -> String {
+    values.iter().map(canon).collect::<Vec<_>>().join("|")
+}
+
+fn sorted(mut rows: Vec<String>) -> Vec<String> {
+    rows.sort();
+    rows
+}
+
+fn engine_rows(db: &Database, sql: &str) -> Vec<String> {
+    let r = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    sorted(
+        r.to_rows()
+            .iter()
+            .map(|row| canon_row(row.values()))
+            .collect(),
+    )
+}
+
+/// Distinct canonical rows.
+fn set_of(rows: impl IntoIterator<Item = Vec<Value>>) -> Vec<String> {
+    let set: std::collections::BTreeSet<String> = rows.into_iter().map(|r| canon_row(&r)).collect();
+    set.into_iter().collect()
+}
+
+/// SQL `=`: NULL and NaN match nothing; `-0.0 = 0.0`.
+fn sql_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => false,
+        (Value::Float(x), Value::Float(y)) => x == y,
+        _ => a == b,
+    }
+}
+
+fn float_of(v: &Value) -> Option<f64> {
+    match v {
+        Value::Int(x) => Some(*x as f64),
+        Value::Float(x) => Some(*x),
+        _ => None,
+    }
+}
+
+/// The reference's aggregates, with the engine's definitions: SUM of
+/// no value is NULL, MIN/MAX in `sort_cmp` order, STDDEV/VAR_SAMP from
+/// (n, Σx, Σx²) and NULL below two values.
+fn reference_aggregates(rows: &[&Vec<Value>]) -> Vec<Value> {
+    let col = |c: usize| rows.iter().map(move |r| &r[c]).filter(|v| !v.is_null());
+    let sum = |c: usize| -> Value {
+        let vals: Vec<&Value> = col(c).collect();
+        match vals.first() {
+            None => Value::Null,
+            Some(Value::Int(_)) => Value::Int(vals.iter().map(|v| v.as_int().unwrap()).sum()),
+            Some(_) => Value::Float(vals.iter().map(|v| float_of(v).unwrap()).sum()),
+        }
+    };
+    let avg = |c: usize| -> Value {
+        let vals: Vec<f64> = col(c).map(|v| float_of(v).unwrap()).collect();
+        if vals.is_empty() {
+            Value::Null
+        } else {
+            Value::Float(vals.iter().sum::<f64>() / vals.len() as f64)
+        }
+    };
+    let extreme = |c: usize, min: bool| -> Value {
+        col(c).fold(Value::Null, |best, v| {
+            let ord = v.sort_cmp(&best);
+            if best.is_null() || (min && ord.is_lt()) || (!min && ord.is_gt()) {
+                v.clone()
+            } else {
+                best
+            }
+        })
+    };
+    let moments = |c: usize, stddev: bool| -> Value {
+        let vals: Vec<f64> = col(c).map(|v| float_of(v).unwrap()).collect();
+        if vals.len() < 2 {
+            return Value::Null;
+        }
+        let n = vals.len() as f64;
+        let (sum, sum_sq) = vals.iter().fold((0.0, 0.0), |(s, q), x| (s + x, q + x * x));
+        let var = ((sum_sq - sum * sum / n) / (n - 1.0)).max(0.0);
+        Value::Float(if stddev { var.sqrt() } else { var })
+    };
+    vec![
+        Value::Int(rows.len() as i64),
+        Value::Int(col(1).count() as i64),
+        sum(0),
+        sum(1),
+        avg(0),
+        avg(1),
+        extreme(1, true),
+        extreme(1, false),
+        extreme(3, true),
+        extreme(0, false),
+        moments(0, true),
+        moments(1, false),
+    ]
+}
+
+const AGGREGATES: &str = "count(*), count(f), sum(i), sum(f), avg(i), avg(f), min(f), max(f), \
+                          min(s2), max(i), stddev(i), var_samp(f)";
+const KEY_COLUMNS: [&str; 5] = ["i", "f", "s1", "s2", "b"];
+
+#[test]
+fn group_by_keys_match_reference() {
+    for_cases(0x6E75, 32, |rng| {
+        let ka = key_rows(rng);
+        let db = key_db(&ka, &[]);
+        // A random non-empty subset of the key columns, in random order.
+        let mut keys: Vec<usize> = (0..KEY_COLUMNS.len())
+            .filter(|_| rng.gen_bool(0.5))
+            .collect();
+        if keys.is_empty() {
+            keys.push(rng.gen_range(0..KEY_COLUMNS.len()));
+        }
+        if rng.gen_bool(0.5) {
+            keys.reverse();
+        }
+        let names: Vec<&str> = keys.iter().map(|&c| KEY_COLUMNS[c]).collect();
+        let sql = format!(
+            "SELECT {k}, {AGGREGATES} FROM ka GROUP BY {k}",
+            k = names.join(", ")
+        );
+        let mut groups: std::collections::BTreeMap<String, Vec<&Vec<Value>>> = Default::default();
+        for row in &ka {
+            let key: Vec<Value> = keys.iter().map(|&c| row[c].clone()).collect();
+            groups.entry(canon_row(&key)).or_default().push(row);
+        }
+        let expect: Vec<String> = groups
+            .values()
+            .map(|rows| {
+                let mut out: Vec<Value> = keys.iter().map(|&c| rows[0][c].clone()).collect();
+                out.extend(reference_aggregates(rows));
+                canon_row(&out)
+            })
+            .collect();
+        assert_eq!(engine_rows(&db, &sql), sorted(expect), "{sql}");
+    });
+}
+
+#[test]
+fn distinct_union_and_cte_dedup_match_reference() {
+    for_cases(0xD15C, 32, |rng| {
+        let (ka, kb) = (key_rows(rng), key_rows(rng));
+        let db = key_db(&ka, &kb);
+        let project = |rows: &[Vec<Value>], cols: &[usize]| -> Vec<Vec<Value>> {
+            rows.iter()
+                .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+                .collect()
+        };
+        assert_eq!(
+            engine_rows(&db, "SELECT DISTINCT f, s1, s2, b FROM ka"),
+            set_of(project(&ka, &[1, 2, 3, 4])),
+        );
+        let both: Vec<Vec<Value>> = project(&ka, &[0, 1, 2])
+            .into_iter()
+            .chain(project(&kb, &[0, 1, 2]))
+            .collect();
+        assert_eq!(
+            engine_rows(&db, "SELECT i, f, s1 FROM ka UNION SELECT i, f, s1 FROM kb"),
+            set_of(both),
+        );
+        // The step negates f: 0.0 comes back as -0.0 and a NaN with its
+        // sign flipped; neither is a new row.
+        let negated = project(&ka, &[1, 2]).into_iter().flat_map(|r| {
+            let neg = match &r[0] {
+                Value::Float(x) => Value::Float(-x),
+                other => other.clone(),
+            };
+            [r.clone(), vec![neg, r[1].clone()]]
+        });
+        assert_eq!(
+            engine_rows(
+                &db,
+                "WITH RECURSIVE r (f, s) AS (SELECT f, s1 FROM ka UNION SELECT f * -1.0, s FROM r) \
+                 SELECT f, s FROM r"
+            ),
+            set_of(negated),
+        );
+    });
+}
+
+#[test]
+fn hash_joins_match_reference() {
+    // (ON clause, equi-key column pairs, residual `ka.i < kb.i`?)
+    let variants: [(&str, &[usize], bool); 3] = [
+        ("ka.f = kb.f AND ka.s1 = kb.s1", &[1, 2], false),
+        (
+            "ka.i = kb.i AND ka.b = kb.b AND ka.s2 = kb.s2",
+            &[0, 4, 3],
+            false,
+        ),
+        (
+            "ka.s1 = kb.s1 AND ka.f = kb.f AND ka.i < kb.i",
+            &[2, 1],
+            true,
+        ),
+    ];
+    for_cases(0x701E, 32, |rng| {
+        let (ka, kb) = (key_rows(rng), key_rows(rng));
+        let db = key_db(&ka, &kb);
+        for (on, keys, residual) in variants {
+            for left in [false, true] {
+                let sql = format!(
+                    "SELECT ka.i, ka.f, ka.s1, ka.s2, ka.b, kb.i, kb.f, kb.s1 \
+                     FROM ka {} JOIN kb ON {on}",
+                    if left { "LEFT" } else { "" }
+                );
+                let mut expect = Vec::new();
+                for a in &ka {
+                    let mut matched = false;
+                    for b in &kb {
+                        let hit = keys.iter().all(|&c| sql_eq(&a[c], &b[c]))
+                            && (!residual
+                                || matches!((&a[0], &b[0]), (Value::Int(x), Value::Int(y)) if x < y));
+                        if hit {
+                            matched = true;
+                            let mut row = a.clone();
+                            row.extend([b[0].clone(), b[1].clone(), b[2].clone()]);
+                            expect.push(canon_row(&row));
+                        }
+                    }
+                    if left && !matched {
+                        let mut row = a.clone();
+                        row.extend([Value::Null, Value::Null, Value::Null]);
+                        expect.push(canon_row(&row));
+                    }
+                }
+                assert_eq!(engine_rows(&db, &sql), sorted(expect), "{sql}");
+            }
+        }
+    });
+}

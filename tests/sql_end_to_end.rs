@@ -253,3 +253,62 @@ fn wide_row_and_many_chunks() {
     assert_eq!(row.values()[0], Value::Int(2500));
     assert_eq!(row.values()[3], Value::from("r998"), "string max");
 }
+
+#[test]
+fn nan_keys_form_one_group() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+    db.execute("INSERT INTO t VALUES (-1.0), (-4.0), (4.0), (-1.0)")
+        .unwrap();
+    // sqrt of a negative is NaN: grouping, DISTINCT, UNION and
+    // recursive-CTE dedup treat every NaN as one value.
+    let r = db
+        .execute("SELECT sqrt(x), count(*) FROM t GROUP BY sqrt(x)")
+        .unwrap();
+    assert_eq!(r.row_count(), 2, "one NaN group and one 2.0 group");
+    assert_eq!(r.value(0, 0).unwrap(), Value::Float(2.0));
+    assert_eq!(r.value(0, 1).unwrap(), Value::Int(1));
+    assert!(r.value(1, 0).unwrap().as_float().unwrap().is_nan());
+    assert_eq!(r.value(1, 1).unwrap(), Value::Int(3));
+    for sql in [
+        "SELECT DISTINCT sqrt(x) FROM t",
+        "SELECT sqrt(x) FROM t UNION SELECT sqrt(x) FROM t",
+        "WITH RECURSIVE r (v) AS (SELECT sqrt(x) FROM t UNION SELECT v FROM r WHERE v > 0.0) \
+         SELECT v FROM r",
+    ] {
+        let r = db.execute(sql).unwrap();
+        let nans = r
+            .to_rows()
+            .iter()
+            .filter(|row| row.values()[0].as_float().unwrap().is_nan())
+            .count();
+        assert_eq!(nans, 1, "{sql}");
+    }
+    // `=` keeps IEEE semantics: a NaN key never joins.
+    let r = db
+        .execute("SELECT count(*) FROM t a JOIN t b ON sqrt(a.x) = sqrt(b.x)")
+        .unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Int(1));
+}
+
+#[test]
+fn signed_zeros_are_one_key() {
+    let db = Database::new();
+    db.execute("CREATE TABLE z (x DOUBLE, i BIGINT)").unwrap();
+    db.execute("INSERT INTO z VALUES (0.0, 0), (-0.0, 0), (1.0, 1)")
+        .unwrap();
+    let r = db.execute("SELECT x, count(*) FROM z GROUP BY x").unwrap();
+    assert_eq!(r.row_count(), 2);
+    assert_eq!(r.value(0, 1).unwrap(), Value::Int(2));
+    let r = db.execute("SELECT DISTINCT x FROM z").unwrap();
+    assert_eq!(r.row_count(), 2);
+    // -0.0 = 0.0, and a BIGINT key meets an equal DOUBLE key.
+    let r = db
+        .execute("SELECT count(*) FROM z a JOIN z b ON a.x = b.x")
+        .unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Int(5));
+    let r = db
+        .execute("SELECT count(*) FROM z a JOIN z b ON a.i = b.x")
+        .unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Int(5));
+}
